@@ -61,14 +61,16 @@ DECODE_CACHE_CAP = 500_000
 class EngineOptions:
     """Engine tuning knobs; defaults suit test-sized workloads."""
 
-    workdir: str | None = None  # temp dir when None
+    # None = throwaway: a serial run keeps partitions resident in memory
+    # until they overflow the budget (DESIGN.md §7), a parallel run uses
+    # a temp dir.  Either way the result owns and removes what it made.
+    workdir: str | None = None
     memory_budget: int = 64 * 1024 * 1024
     min_partitions: int = 2
     witness_cap: int = 3  # max distinct encodings kept per (src, dst, label)
     cache_capacity: int = 200_000
     enable_cache: bool = True
     max_pairs: int | None = None  # safety cap on processed pairs
-    keep_workdir: bool = False
     # Ablation switch: with path sensitivity off, every composition is
     # considered feasible (no constraint decoding or solving), matching a
     # purely grammar-guided Graspan-style closure.
@@ -161,7 +163,7 @@ class EngineOptions:
 
 @dataclass
 class EngineResult:
-    """Outcome of one engine run; edges stream from disk on demand."""
+    """Outcome of one engine run; edges stream from the store on demand."""
 
     stats: EngineStats
     store: PartitionStore
@@ -289,29 +291,36 @@ class GraphEngine:
 
     def run(self, graph: ProgramGraph) -> EngineResult:
         workdir = self.options.workdir
-        cleanup = False
-        if workdir is None:
-            workdir = tempfile.mkdtemp(prefix="grapple_")
-            cleanup = not self.options.keep_workdir
-        else:
+        throwaway = workdir is None
+        if not throwaway:
             if self.phase:
                 workdir = os.path.join(workdir, self.phase)
             os.makedirs(workdir, exist_ok=True)
+        elif self.options.workers > 1:
+            # Pool workers read partition files (or shm published from
+            # them), so the parallel path keeps its directory.
+            workdir = tempfile.mkdtemp(prefix="grapple_")
+        # else: workdir stays None and the store is resident; it creates
+        # its own temp directory only if the graph overflows the budget.
+        self._store = None
         try:
             result = self._run(graph, workdir)
         except BaseException:
-            if cleanup:
-                shutil.rmtree(workdir, ignore_errors=True)
+            if throwaway:
+                store = self._store
+                made = store.workdir if store is not None else workdir
+                if made is not None:
+                    shutil.rmtree(made, ignore_errors=True)
             raise
-        if cleanup:
-            # The result streams edges from disk; tie the directory's
-            # lifetime to the result object.
-            result.own_workdir(workdir)
+        if throwaway and result.store.workdir is not None:
+            # The result streams edges from the directory it spilled to;
+            # tie the directory's lifetime to the result object.
+            result.own_workdir(result.store.workdir)
         return result
 
     # -- internals -------------------------------------------------------------
 
-    def _run(self, graph: ProgramGraph, workdir: str) -> EngineResult:
+    def _run(self, graph: ProgramGraph, workdir: str | None) -> EngineResult:
         stats = self.stats
         self._deadline = None
         if self.options.time_budget is not None:
@@ -334,11 +343,14 @@ class GraphEngine:
         # Once-per-run fault latches live beside the *base* workdir so
         # one plan spans both pipeline phases; a fresh run re-arms them,
         # --resume keeps the faults that crashed the original tripped.
+        # A resident run is one process with no directory: its latches
+        # stay in memory.
         latch_base = self.options.workdir or workdir
-        self.faults.arm(
-            os.path.join(latch_base, ".faults"),
-            reset=not self.options.resume,
-        )
+        if latch_base is not None:
+            self.faults.arm(
+                os.path.join(latch_base, ".faults"),
+                reset=not self.options.resume,
+            )
         # Checkpointing is tied to an explicit workdir: a temp dir can't
         # be pointed at again, so manifests there would be dead weight.
         self._ckpt_dir = workdir if self.options.workdir is not None else None
@@ -356,7 +368,7 @@ class GraphEngine:
             self._seed_derived(graph)
             if self.options.constraint_mode == "string":
                 self._stringify_graph(graph)
-            store = PartitionStore(
+            store = self._store = PartitionStore(
                 workdir, self.options.memory_budget, stats,
                 table=self._enc, prefetch=prefetch,
                 spill_writer=spill_writer, trace=trace,
@@ -389,7 +401,6 @@ class GraphEngine:
                     graph.edges, len(graph.vertices), min_partitions
                 )
         self._graph = graph
-        self._store = store
         # Telemetry providers for this phase: the sampler thread (one per
         # process, started idempotently) polls these at its cadence; they
         # are unbound below before the store is torn down.

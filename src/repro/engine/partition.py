@@ -7,6 +7,15 @@ buffers new edges destined for unloaded partitions in per-partition delta
 files, and splits any partition whose estimated in-memory size exceeds the
 budget ("eager repartitioning", §4.3).
 
+Residency (DESIGN.md §7): a store built without a workdir is *resident*.
+Every partition's columns stay in the cache, and no directory or file
+exists while the partitions' summed ``byte_estimate`` stays within the
+memory budget.  The first overflow creates a temp directory, writes the
+cache back down to ``cache_slots`` entries, and the store continues as
+the out-of-core store above.  Partition count, pair order and
+repartitioning follow the budget alone, so they do not depend on
+residency.
+
 Loaded partitions are :class:`~repro.engine.columnar.EdgeColumns` (sorted
 int64 columns plus an insert overlay, encodings interned in the store's
 shared :class:`~repro.engine.columnar.EncodingTable`); partition files use
@@ -34,10 +43,10 @@ a monotone fixpoint -- dropped derived edges are re-derived).
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
-from dataclasses import dataclass, field
-
+import tempfile
 import time
+from bisect import bisect_right
+from dataclasses import dataclass
 
 from repro.engine import serialize
 from repro.engine.columnar import ROW_BYTES, EdgeColumns, EncodingTable
@@ -68,9 +77,14 @@ class Partition:
 
 
 class PartitionStore:
-    """Manages the set of partitions for one engine run."""
+    """Manages the set of partitions for one engine run.
 
-    def __init__(self, workdir: str, memory_budget: int,
+    ``workdir=None`` makes the store resident until the budget overflows
+    (see the module docstring); :attr:`workdir` is then the temp
+    directory it created, owned by the caller.
+    """
+
+    def __init__(self, workdir: str | None, memory_budget: int,
                  stats: EngineStats | None = None, cache_slots: int = 4,
                  table: EncodingTable | None = None,
                  prefetch=None, spill_writer=None, trace=None,
@@ -100,7 +114,14 @@ class PartitionStore:
         self._bounds_los: list[int] = []
         self._bounds_index: list[int] = []
         self._bounds_stale = True
-        os.makedirs(workdir, exist_ok=True)
+        if workdir is not None:
+            os.makedirs(workdir, exist_ok=True)
+
+    @property
+    def resident(self) -> bool:
+        """True until the store has a directory (given, or made by
+        :meth:`_spill`)."""
+        return self.workdir is None
 
     # -- construction --------------------------------------------------------
 
@@ -112,6 +133,8 @@ class PartitionStore:
         bytes, with enough partitions that any two fit in the budget.
         """
         total_bytes = _estimate_bytes(edges)
+        if self.resident and total_bytes > self.memory_budget:
+            self._spill()
         per_partition_cap = max(self.memory_budget // 2, 1)
         wanted = max(min_partitions, -(-total_bytes // per_partition_cap))
         boundaries = _balanced_boundaries(edges, num_vertices, wanted)
@@ -134,15 +157,43 @@ class PartitionStore:
         cols = EdgeColumns.from_dict(chunk, self.table)
         part.edge_count = cols.edge_count
         part.byte_estimate = cols.columnar_bytes()
-        self._save(part, cols)
         self.partitions.append(part)
         self._bounds_stale = True
+        if self.resident:
+            self._cache_insert(part.index, cols, dirty=True)
+        else:
+            self._save(part, cols)
         return part
 
     def _fresh_path(self, prefix: str) -> str:
-        path = os.path.join(self.workdir, f"{prefix}_{self._next_file:05d}.bin")
+        """A new file path; a bare name while resident (:meth:`_spill`
+        joins it onto the directory it creates)."""
+        path = os.path.join(
+            self.workdir or "", f"{prefix}_{self._next_file:05d}.bin"
+        )
         self._next_file += 1
         return path
+
+    # -- residency ------------------------------------------------------------
+
+    def _check_budget(self) -> None:
+        if self.resident and sum(
+            part.byte_estimate for part in self.partitions
+        ) > self.memory_budget:
+            self._spill()
+
+    def _spill(self) -> None:
+        """First overflow of a resident store: create the temp directory
+        and fall back to write-back caching.  Every resident partition
+        is dirty (none has a file yet), so eviction writes each one
+        through the ordinary ``_save`` path."""
+        self.workdir = tempfile.mkdtemp(prefix="grapple_")
+        self.stats.store_spills += 1
+        for part in self.partitions:
+            part.path = os.path.join(self.workdir, part.path)
+            part.delta_path = os.path.join(self.workdir, part.delta_path)
+        while len(self._cache) > self.cache_slots:
+            self._evict(next(iter(self._cache)))
 
     # -- I/O ------------------------------------------------------------------
 
@@ -258,13 +309,12 @@ class PartitionStore:
     def _cache_insert(self, index: int, cols: EdgeColumns, dirty: bool) -> None:
         if dirty:
             self._dirty.add(index)
-        if index in self._cache:
-            self._cache[index] = cols
-            return
-        while len(self._cache) >= self.cache_slots:
-            victim = next(iter(self._cache))
-            self._evict(victim)
+        if index not in self._cache and not self.resident:
+            while len(self._cache) >= self.cache_slots:
+                victim = next(iter(self._cache))
+                self._evict(victim)
         self._cache[index] = cols
+        self._check_budget()
 
     def _evict(self, index: int) -> None:
         cols = self._cache.pop(index)
@@ -273,7 +323,13 @@ class PartitionStore:
             self._save(self.partitions[index], cols)
 
     def flush(self) -> None:
-        """Write every dirty cached partition back to disk."""
+        """Write every dirty cached partition back to disk.  A resident
+        store writes nothing; it compacts each partition's insert
+        overlay into its sorted columns instead, as a write would."""
+        if self.resident:
+            for cols in self._cache.values():
+                cols.compact()
+            return
         for index in list(self._dirty):
             self._dirty.discard(index)
             self._save(self.partitions[index], self._cache[index])
@@ -349,6 +405,7 @@ class PartitionStore:
                 part.version += 1
                 part.edge_count += added
                 part.byte_estimate = cached.columnar_bytes()
+                self._check_budget()
             return
         with self.stats.timing("io_time"):
             data = serialize.encode_partition(chunk)
@@ -522,9 +579,11 @@ class PartitionStore:
         return resident / self.memory_budget
 
     def iter_all_edges(self):
-        """Stream every edge from disk: ``(src, dst, label_id, encoding)``."""
+        """Stream every edge: ``(src, dst, label_id, encoding)``, in
+        source-interval order, so the order does not depend on how often
+        (or in which order) partitions were split."""
         decode = self.table.decode
-        for part in self.partitions:
+        for part in sorted(self.partitions, key=lambda p: p.lo):
             cols = self.load(part)
             for src, dst, label_id, eid in cols.iter_rows():
                 yield src, dst, label_id, decode(eid)

@@ -58,6 +58,10 @@ class EngineStats:
     infeasible_dropped: int = stat_field()
     encoding_overflow_dropped: int = stat_field()
     repartitions: int = stat_field(scope="coordinator")
+    # 1 when a resident partition store overflowed the memory budget and
+    # went out of core (created its directory, started writing); 0 for a
+    # phase that stayed resident or was given a workdir.
+    store_spills: int = stat_field(scope="coordinator")
     final_partitions: int = stat_field(kind="gauge", scope="coordinator")
     timed_out: bool = stat_field(False, kind="flag")
     # Parallel engine: number of dispatched waves of disjoint pairs, and

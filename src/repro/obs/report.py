@@ -131,6 +131,14 @@ def validate_run_report(report) -> list[str]:
         for name, value in values.items():
             if not isinstance(value, (int, float)):
                 errors.append(f"{section}.{name} is not a number")
+    # ``store_spills`` counts phases whose resident partition store
+    # overflowed the memory budget (0 or 1 per phase, summed over a
+    # run's phases or a serve fragment's stratum runs).
+    counters = report.get("counters")
+    spills = counters.get("store_spills") if isinstance(counters, dict) \
+        else None
+    if spills is not None and (not isinstance(spills, int) or spills < 0):
+        errors.append("counters.store_spills is not a count")
     histograms = report.get("histograms")
     if not isinstance(histograms, dict):
         errors.append("histograms section missing")

@@ -51,6 +51,7 @@ import os
 import socket
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 from repro.analysis.pipeline import Grapple, GrappleOptions
@@ -415,15 +416,30 @@ class ServeEngine:
             rederived,
         )
 
+    def _workspace_path(self, path) -> str:
+        """``path`` joined onto the workspace, or ValueError unless it
+        names a ``.mini`` file directly inside it (the only files a scan
+        observes): relative, normalized, no directory part."""
+        if not isinstance(path, str):
+            raise ValueError("path must be a string")
+        if not path.endswith(".mini") or os.path.basename(path) != path:
+            raise ValueError(
+                f"path {path!r} is not a .mini file name in the workspace"
+            )
+        return os.path.join(self.workspace, path)
+
     def edit(self, path: str, text: str) -> dict:
         """Apply one edit (write-through to the workspace) and answer."""
-        full = os.path.join(self.workspace, path)
+        full = self._workspace_path(path)
+        if not isinstance(text, str):
+            raise ValueError("text must be a string")
         serialize.atomic_write_bytes(full, text.encode())
         return self.scan(only={path})
 
     def remove(self, path: str) -> dict:
+        full = self._workspace_path(path)
         try:
-            os.remove(os.path.join(self.workspace, path))
+            os.remove(full)
         except OSError:
             pass
         return self.scan(only=set())
@@ -584,6 +600,8 @@ class Server:
         self.out.flush()
 
     def _handle(self, request: dict) -> dict:
+        if not isinstance(request, dict):
+            raise ValueError("request must be a JSON object")
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "op": "ping"}
@@ -615,6 +633,11 @@ class Server:
                 response = self._handle(request)
             except (ValueError, KeyError) as exc:
                 response = {"error": str(exc)}
+            except Exception as exc:
+                # No request may take the daemon down: report the
+                # unexpected failure, answer, and keep serving.
+                traceback.print_exc(file=sys.stderr)
+                response = {"error": f"{type(exc).__name__}: {exc}"}
             conn.sendall(json.dumps(response, sort_keys=True).encode() + b"\n")
 
     def run(self, max_requests: int | None = None) -> int:

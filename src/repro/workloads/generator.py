@@ -62,13 +62,14 @@ def generate_subject(profile: SubjectProfile) -> GeneratedSubject:
             template = fp_templates[i % len(fp_templates)]
             pieces.append(template(next_name(), rng))
 
-    # Clean padding until the target size is reached.
-    def current_loc() -> int:
-        return sum(_loc(text) for text, _ in pieces)
-
-    while current_loc() < profile.target_loc:
+    # Clean padding until the target size is reached; a running line
+    # count keeps the loop linear in the number of pieces.
+    loc = sum(_loc(text) for text, _ in pieces)
+    while loc < profile.target_loc:
         template = rng.choice(P.CLEAN_PATTERNS)
-        pieces.append(template(next_name(), rng))
+        piece = template(next_name(), rng)
+        pieces.append(piece)
+        loc += _loc(piece[0])
 
     rng.shuffle(pieces)
 

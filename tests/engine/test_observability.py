@@ -71,7 +71,7 @@ def test_merge_field_classification_is_exhaustive():
             "preprocess_time"} <= summed
     # Coordinator-only bookkeeping must never be double-counted.
     assert {"waves", "pairs_skipped", "iterations", "repartitions",
-            "edges_before", "edges_after", "vertices",
+            "store_spills", "edges_before", "edges_after", "vertices",
             "final_partitions", "retries", "pairs_quarantined",
             "partitions_rebuilt", "partitions_quarantined",
             "checkpoints_written", "checkpoint_files_pruned",

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.obs.__main__ import main as obs_main
+from repro.obs.report import validate_run_report
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -69,6 +70,13 @@ def test_validate_accepts_good_report(tmp_path, capsys):
     path = write_json(tmp_path / "report.json", minimal_report())
     assert obs_main(["validate", "--metrics", path]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spills,ok", [(0, True), (2, True), (-1, False),
+                                       (0.5, False)])
+def test_validate_store_spills_is_a_count(spills, ok):
+    report = minimal_report(counters={"store_spills": spills})
+    assert (validate_run_report(report) == []) is ok
 
 
 def test_validate_rejects_future_schema_version(tmp_path, capsys):

@@ -14,6 +14,8 @@ import sys
 import threading
 import time
 
+import pytest
+
 from repro.analysis.pipeline import Grapple
 from repro.checkers.checker import pack_checkers
 from repro.obs.report import validate_run_report
@@ -251,6 +253,57 @@ def test_unix_socket_roundtrip(tmp_path):
     assert not thread.is_alive()
     _, scratch = _scratch_warnings(engine.workspace)
     assert _accumulated(engine) == scratch
+
+
+def test_edit_path_must_stay_inside_workspace(tmp_path):
+    """A client path is a bare ``.mini`` name; anything that could
+    reach outside the workspace (or that a scan would never see) is
+    rejected before any write or delete."""
+    engine = _engine(tmp_path)
+    outside = tmp_path / "escaped.mini"
+    outside.write_text("func keep() {\n    return;\n}\n")
+    for bad in ("../escaped.mini", str(outside), "sub/x.mini",
+                "./g0left.mini", "g0left.txt", "", 1, None):
+        with pytest.raises(ValueError):
+            engine.edit(bad, "func f() {\n    return;\n}\n")
+        with pytest.raises(ValueError):
+            engine.remove(bad)
+    assert outside.read_text() == "func keep() {\n    return;\n}\n"
+    assert sorted(os.listdir(tmp_path)) == ["escaped.mini", "wd", "ws"]
+    with pytest.raises(ValueError):
+        engine.edit("g0left.mini", 7)
+
+
+def test_bad_requests_get_error_replies_and_daemon_survives(tmp_path):
+    engine = _engine(tmp_path)
+    sock_path = str(tmp_path / "serve.sock")
+    out = open(os.devnull, "w")
+    server = Server(engine, socket_path=sock_path, poll=0.05, out=out)
+    thread = threading.Thread(target=server.run, daemon=True)
+    thread.start()
+    try:
+        for _ in range(200):
+            if os.path.exists(sock_path):
+                break
+            time.sleep(0.01)
+        for bad in (
+            {"op": "edit", "path": 1, "text": "x"},  # used to raise TypeError
+            {"op": "edit", "path": "g0left.mini", "text": ["x"]},
+            {"op": "edit", "path": "../escaped.mini", "text": "x"},
+            {"op": "remove", "path": "../ws/g0left.mini"},
+            {"op": "edit"},
+            [1, 2],
+        ):
+            reply = request(sock_path, bad)
+            assert set(reply) == {"error"}, (bad, reply)
+        assert not (tmp_path / "escaped.mini").exists()
+        assert request(sock_path, {"op": "ping"})["ok"] is True
+        assert request(sock_path, {"op": "shutdown"})["ok"] is True
+    finally:
+        thread.join(timeout=10)
+        out.close()
+    assert not thread.is_alive()
+    assert os.path.exists(os.path.join(engine.workspace, "g0left.mini"))
 
 
 def test_cli_serve_once_emits_valid_fragment(tmp_path):

@@ -1,5 +1,7 @@
 """Unit tests for the synthetic workload generator and classification."""
 
+import hashlib
+
 import pytest
 
 from repro.checkers.report import Report, Warning
@@ -101,6 +103,20 @@ def test_build_subject_scaling():
     assert small.loc < SUBJECT_PROFILES["zookeeper"].target_loc
     with pytest.raises(KeyError):
         build_subject("cassandra")
+
+
+@pytest.mark.parametrize("name,scale,digest", [
+    ("hadoop", 4,
+     "ca38a0d7c9d885ef506947cc31caa0236eb5c7417f3986a92446a3c5e7db97d0"),
+    ("hbase", 1,
+     "814fdf5fb343ff3ae5aea653afe9feda1320a762d9a9f05c05168cff242e6f08"),
+])
+def test_generated_source_is_pinned(name, scale, digest):
+    """The padding loop's running total must reproduce the source the
+    re-counting loop generated, byte for byte (benchmarks and goldens
+    depend on it)."""
+    source = build_subject(name, scale=scale).source
+    assert hashlib.sha256(source.encode()).hexdigest() == digest
 
 
 def test_subject_loc_ordering_follows_paper():
