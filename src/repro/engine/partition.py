@@ -28,16 +28,23 @@ chunks arriving from spills and out-of-process workers -- optionally
 written through a background :class:`~repro.engine.io_pipeline.SpillWriter`
 and zlib-compressed per frame.
 
-Durability (DESIGN.md §11): partition files are replaced atomically
-(temp + fsync + rename), so a crash leaves the previous complete version
-on disk; delta frames are appended in single checksummed writes, so a
-crash leaves at most one truncated trailing frame, dropped on read.  A
-partition's delta file is only removed *after* the next durable
-partition write folds it in (``Partition.delta_folded``) -- until then
-the edges it holds remain replayable.  Interior delta corruption is
-salvaged around: the bad frames are discarded and the partition's
-version is bumped, so every pair touching it recomputes (the closure is
-a monotone fixpoint -- dropped derived edges are re-derived).
+Durability (DESIGN.md §11): in a directory the caller gave (an explicit
+workdir, or the parallel path's temp dir) partition files are replaced
+atomically (temp + fsync + rename), so a crash leaves the previous
+complete version on disk.  The directory a resident store spills to is
+*scratch*: nothing can resume from it, so each partition write goes
+once to a fresh name, never fsynced and never overwritten, and the
+superseded file is removed after ``Partition.path`` moves on.  A file's
+bytes therefore never change once written, and a prefetch of an old
+path sees the complete old file or a benign ``FileNotFoundError``.
+Delta frames are appended in single checksummed writes, so a crash
+leaves at most one truncated trailing frame, dropped on read.  A
+partition's delta file is only removed *after* the next partition
+write folds it in (``Partition.delta_folded``) -- until then the edges
+it holds remain replayable.  Interior delta corruption is salvaged
+around: the bad frames are discarded and the partition's version is
+bumped, so every pair touching it recomputes (the closure is a
+monotone fixpoint -- dropped derived edges are re-derived).
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ class PartitionStore:
     """Manages the set of partitions for one engine run.
 
     ``workdir=None`` makes the store resident until the budget overflows
-    (see the module docstring); :attr:`workdir` is then the temp
+    (see the module docstring); :attr:`workdir` is then the scratch
     directory it created, owned by the caller.
     """
 
@@ -114,6 +121,9 @@ class PartitionStore:
         self._bounds_los: list[int] = []
         self._bounds_index: list[int] = []
         self._bounds_stale = True
+        # True once _spill() made the directory: partition writes are
+        # then write-once and skip the temp file, fsync and rename.
+        self.scratch = False
         if workdir is not None:
             os.makedirs(workdir, exist_ok=True)
 
@@ -188,6 +198,7 @@ class PartitionStore:
         is dirty (none has a file yet), so eviction writes each one
         through the ordinary ``_save`` path."""
         self.workdir = tempfile.mkdtemp(prefix="grapple_")
+        self.scratch = True
         self.stats.store_spills += 1
         for part in self.partitions:
             part.path = os.path.join(self.workdir, part.path)
@@ -211,7 +222,10 @@ class PartitionStore:
                 # durable version stays; the new bytes sit in the temp.
                 serialize.atomic_write_bytes(part.path, data, replace=False)
             else:
-                serialize.atomic_write_bytes(part.path, data)
+                if self.scratch:
+                    self._write_once(part, data)
+                else:
+                    serialize.atomic_write_bytes(part.path, data)
                 if part.delta_folded:
                     # The columns just written include every delta frame;
                     # only now is the replay log safe to discard.
@@ -227,6 +241,21 @@ class PartitionStore:
                 # this run's own reads never adopt the damaged file.
                 self._cache[part.index] = cols
                 self._dirty.add(part.index)
+
+    def _write_once(self, part: Partition, data: bytes) -> None:
+        """Scratch write: the bytes go to a fresh name, then the
+        superseded file (if any) is removed.  Writing over an allocated
+        file -- by rename or truncation -- is what makes a partition
+        write slow on some filesystems, and nothing reads a scratch
+        file after a crash, so neither is worth paying for."""
+        old = part.path
+        part.path = self._fresh_path("part")
+        with open(part.path, "wb") as f:
+            f.write(data)
+        try:
+            os.remove(old)
+        except FileNotFoundError:
+            pass
 
     def _read_partition(self, part: Partition):
         """Parse ``part.path``; any unreadable file (truncated, missing,

@@ -73,6 +73,11 @@ _IDENTITY = ("file", "offset", "checker", "kind", "type_name", "state",
              "func", "line")
 
 
+_META_TYPES = {"digest": str, "module": str, "imports": list, "sites": int,
+               "mtime": (int, float), "size": int}
+_COUNTERS = ("edits_served", "edges_rederived", "warnings_retracted")
+
+
 @dataclass
 class FileMeta:
     """What the daemon remembers about one workspace file."""
@@ -93,7 +98,14 @@ class FileMeta:
         }
 
     @classmethod
-    def from_json(cls, path: str, doc: dict) -> "FileMeta":
+    def from_json(cls, path: str, doc) -> "FileMeta":
+        """Raises ValueError unless ``doc`` has the shape
+        :meth:`to_json` writes."""
+        if not isinstance(doc, dict) or any(
+            not isinstance(doc.get(key), kind)
+            for key, kind in _META_TYPES.items()
+        ) or not all(isinstance(m, str) for m in doc["imports"]):
+            raise ValueError(f"malformed metadata for {path!r}")
         return cls(
             path=path, digest=doc["digest"], module=doc["module"],
             imports=tuple(doc["imports"]), sites=doc["sites"],
@@ -103,6 +115,24 @@ class FileMeta:
 
 def _identity(warning: dict) -> tuple:
     return tuple(warning[k] for k in _IDENTITY)
+
+
+def _valid_stratum(entry) -> bool:
+    """True when a persisted stratum entry has the shape ``scan`` and
+    ``warnings`` index into: member paths, and warnings whose identity
+    fields are scalars and whose file is a member."""
+    if not isinstance(entry, dict):
+        return False
+    files, warnings = entry.get("files"), entry.get("warnings")
+    if not (isinstance(files, list) and isinstance(warnings, list)
+            and all(isinstance(path, str) for path in files)):
+        return False
+    return all(
+        isinstance(w, dict)
+        and all(isinstance(w.get(k), (str, int, float)) for k in _IDENTITY)
+        and w["file"] in files and isinstance(w["offset"], int)
+        for w in warnings
+    )
 
 
 class ServeEngine:
@@ -169,24 +199,40 @@ class ServeEngine:
         serialize.atomic_write_bytes(self._state_path(), data)
 
     def _load_state(self) -> None:
+        """Adopt ``serve-state.json`` if it is this configuration's and
+        well formed.  Anything else -- unreadable, another config, or a
+        document of the wrong shape -- is ignored, and the first scan
+        rebuilds from the workspace."""
         try:
             with open(self._state_path()) as f:
                 doc = json.load(f)
         except (OSError, ValueError):
             return
-        if (doc.get("schema") != STATE_SCHEMA
+        if (not isinstance(doc, dict)
+                or doc.get("schema") != STATE_SCHEMA
                 or doc.get("version") != STATE_VERSION
                 or doc.get("config") != self.config_digest()):
             return  # different analysis config: results are not reusable
-        self.files = {
-            path: FileMeta.from_json(path, meta)
-            for path, meta in doc.get("files", {}).items()
-        }
-        self.strata = dict(doc.get("strata", {}))
+        files_doc = doc.get("files", {})
+        strata = doc.get("strata", {})
         counters = doc.get("counters", {})
-        self.stats.edits_served = counters.get("edits_served", 0)
-        self.stats.edges_rederived = counters.get("edges_rederived", 0)
-        self.stats.warnings_retracted = counters.get("warnings_retracted", 0)
+        if not (isinstance(files_doc, dict) and isinstance(strata, dict)
+                and isinstance(counters, dict)
+                and all(map(_valid_stratum, strata.values()))
+                and all(isinstance(counters.get(name, 0), int)
+                        for name in _COUNTERS)):
+            return
+        try:
+            files = {
+                path: FileMeta.from_json(path, meta)
+                for path, meta in files_doc.items()
+            }
+        except ValueError:
+            return
+        self.files = files
+        self.strata = dict(strata)
+        for name in _COUNTERS:
+            setattr(self.stats, name, counters.get(name, 0))
         # Rebuild the closure from the remembered metadata; the next
         # scan() diffs the real workspace against it.
         delta = [(edge, 1) for edge, _ in self._desired_edges().items()]
@@ -569,6 +615,10 @@ class ServeEngine:
         return fragment
 
 
+class _Rejected(Exception):
+    """A request the server answers with an error without reading on."""
+
+
 class Server:
     """Line-oriented JSON protocol over a local unix socket.
 
@@ -584,6 +634,12 @@ class Server:
     Between connections the server polls the workspace (mtime+digest,
     no external watchers), so out-of-band edits are served too.
     """
+
+    #: A client must deliver its whole request within this many seconds
+    #: and bytes; past either limit it gets an error reply, so one stuck
+    #: client cannot stall the accept-and-watch loop.
+    request_timeout = 5.0
+    max_request_bytes = 16 << 20
 
     def __init__(self, engine: ServeEngine, socket_path: str | None = None,
                  poll: float = 0.5, out=None):
@@ -618,14 +674,40 @@ class Server:
             return {"ok": True, "op": "shutdown"}
         return {"error": f"unknown op {op!r}"}
 
+    def _read_request(self, conn) -> bytes:
+        """The client's bytes up to its newline (or EOF); raises
+        ``_Rejected`` past the receive deadline or the size cap."""
+        deadline = time.monotonic() + self.request_timeout
+        data = bytearray()
+        while not data.endswith(b"\n"):
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise _Rejected(
+                    f"no complete request within {self.request_timeout:g} s"
+                )
+            conn.settimeout(left)
+            try:
+                chunk = conn.recv(65536)
+            except socket.timeout:
+                continue  # the deadline check above answers
+            except OSError:
+                return b""  # the client reset the connection: ignore it
+            if not chunk:
+                break
+            data += chunk
+            if len(data) > self.max_request_bytes:
+                raise _Rejected(
+                    f"request exceeds {self.max_request_bytes} bytes"
+                )
+        return bytes(data)
+
     def _serve_connection(self, conn) -> None:
         with conn:
-            data = b""
-            while not data.endswith(b"\n"):
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
+            try:
+                data = self._read_request(conn)
+            except _Rejected as exc:
+                self._reply(conn, {"error": str(exc)})
+                return
             if not data.strip():
                 return
             try:
@@ -638,7 +720,16 @@ class Server:
                 # unexpected failure, answer, and keep serving.
                 traceback.print_exc(file=sys.stderr)
                 response = {"error": f"{type(exc).__name__}: {exc}"}
-            conn.sendall(json.dumps(response, sort_keys=True).encode() + b"\n")
+            self._reply(conn, response)
+
+    def _reply(self, conn, response: dict) -> None:
+        conn.settimeout(self.request_timeout)
+        try:
+            conn.sendall(
+                json.dumps(response, sort_keys=True).encode() + b"\n"
+            )
+        except OSError:
+            pass  # the client left or stopped reading; keep serving
 
     def run(self, max_requests: int | None = None) -> int:
         """Serve until shutdown (or ``max_requests`` connections)."""

@@ -6,9 +6,11 @@ to a from-scratch run over the final sources, while each edit only
 re-derives its own stratum.
 """
 
+import contextlib
 import json
 import os
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -223,9 +225,10 @@ def test_incr_spans_are_recorded(tmp_path):
     assert {"incr-diff", "incr-join", "incr-retract"} <= names
 
 
-def test_unix_socket_roundtrip(tmp_path):
-    engine = _engine(tmp_path)
-    sock_path = str(tmp_path / "serve.sock")
+@contextlib.contextmanager
+def _serving(engine, sock_path):
+    """A :class:`Server` on ``sock_path`` in a thread; the body must
+    end with a shutdown request."""
     out = open(os.devnull, "w")
     server = Server(engine, socket_path=sock_path, poll=0.05, out=out)
     thread = threading.Thread(target=server.run, daemon=True)
@@ -235,6 +238,124 @@ def test_unix_socket_roundtrip(tmp_path):
             if os.path.exists(sock_path):
                 break
             time.sleep(0.01)
+        yield
+    finally:
+        thread.join(timeout=10)
+        out.close()
+    assert not thread.is_alive()
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+        return doc
+    return mutate
+
+
+def _set_first(section, value):
+    def mutate(doc):
+        doc[section][next(iter(doc[section]))] = value
+        return doc
+    return mutate
+
+
+def _set_in_first(section, key, value):
+    def mutate(doc):
+        doc[section][next(iter(doc[section]))][key] = value
+        return doc
+    return mutate
+
+
+def _set_in_first_warning(key, value):
+    def mutate(doc):
+        entry = next(e for e in doc["strata"].values() if e["warnings"])
+        entry["warnings"][0][key] = value
+        return doc
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: [], lambda doc: None, lambda doc: "x", lambda doc: 7,
+    _set("files", []), _set("files", "x"), _set("strata", []),
+    _set("strata", "x"), _set("counters", [1]),
+    _set_first("files", 1), _set_first("files", {}),
+    _set_in_first("files", "imports", 3),
+    _set_in_first("files", "imports", [None]),
+    _set_in_first("files", "sites", "26"),
+    _set_first("strata", []), _set_in_first("strata", "files", "x"),
+    _set_in_first("strata", "warnings", [1]),
+    _set_in_first_warning("line", [1]),
+    _set_in_first_warning("file", "nowhere.mini"),
+    _set_in_first_warning("offset", "3"),
+    lambda doc: {**doc, "counters": {"edits_served": "many"}},
+], ids=lambda mutate: None)
+def test_hostile_state_file_falls_back_to_cold_rebuild(tmp_path, mutate):
+    """``serve-state.json`` is input: any document of the wrong shape is
+    ignored, and the first scan rechecks every stratum."""
+    engine = _engine(tmp_path)
+    engine.scan()
+    cold = _accumulated(engine)
+    state = os.path.join(engine.workdir, "serve-state.json")
+    with open(state) as f:
+        doc = json.load(f)
+    with open(state, "w") as f:
+        json.dump(mutate(doc), f)
+    again = ServeEngine(engine.workspace, engine.workdir, _fsms())
+    assert again.files == {} and again.strata == {}
+    fragment = again.scan()
+    assert fragment["edit"]["strata_rechecked"] == 2
+    assert _accumulated(again) == cold
+    assert again.report()["counters"]["edits_served"] == 1
+
+
+def _raw_request(sock_path, data: bytes, timeout=10.0) -> dict:
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(timeout)
+        sock.connect(sock_path)
+        sock.sendall(data)
+        return json.loads(sock.makefile("rb").readline())
+
+
+def test_silent_client_does_not_stall_the_daemon(tmp_path, monkeypatch):
+    monkeypatch.setattr(Server, "request_timeout", 0.5)
+    engine = _engine(tmp_path)
+    sock_path = str(tmp_path / "serve.sock")
+    with _serving(engine, sock_path):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as silent:
+            silent.settimeout(10.0)
+            silent.connect(sock_path)  # ... and never sends a byte
+            start = time.perf_counter()
+            report = _raw_request(sock_path, b'{"op": "report"}\n')
+            waited = time.perf_counter() - start
+            assert report["schema"] == "grapple/serve-report"
+            assert waited < 0.5 + 2.0
+            reply = json.loads(silent.makefile("rb").readline())
+            assert "within 0.5 s" in reply["error"]
+        assert request(sock_path, {"op": "shutdown"})["ok"] is True
+
+
+def test_oversized_request_gets_error_reply(tmp_path, monkeypatch):
+    monkeypatch.setattr(Server, "max_request_bytes", 1024)
+    engine = _engine(tmp_path)
+    sock_path = str(tmp_path / "serve.sock")
+    with _serving(engine, sock_path):
+        text = "x" * 4096
+        reply = _raw_request(
+            sock_path,
+            json.dumps({"op": "edit", "path": "g0left.mini", "text": text})
+            .encode() + b"\n",
+        )
+        assert set(reply) == {"error"} and "1024 bytes" in reply["error"]
+        assert request(sock_path, {"op": "ping"})["ok"] is True
+        assert request(sock_path, {"op": "shutdown"})["ok"] is True
+    assert "x" * 4096 not in open(
+        os.path.join(engine.workspace, "g0left.mini")).read()
+
+
+def test_unix_socket_roundtrip(tmp_path):
+    engine = _engine(tmp_path)
+    sock_path = str(tmp_path / "serve.sock")
+    with _serving(engine, sock_path):
         assert request(sock_path, {"op": "ping"})["ok"] is True
         path = os.path.join(engine.workspace, "g0left.mini")
         text = open(path).read() + "func g0_sock(v) {\n    return v;\n}\n"
@@ -247,10 +368,6 @@ def test_unix_socket_roundtrip(tmp_path):
         assert report["schema"] == "grapple/serve-report"
         assert report["counters"]["edits_served"] >= 2
         assert request(sock_path, {"op": "shutdown"})["ok"] is True
-    finally:
-        thread.join(timeout=10)
-        out.close()
-    assert not thread.is_alive()
     _, scratch = _scratch_warnings(engine.workspace)
     assert _accumulated(engine) == scratch
 
@@ -277,15 +394,7 @@ def test_edit_path_must_stay_inside_workspace(tmp_path):
 def test_bad_requests_get_error_replies_and_daemon_survives(tmp_path):
     engine = _engine(tmp_path)
     sock_path = str(tmp_path / "serve.sock")
-    out = open(os.devnull, "w")
-    server = Server(engine, socket_path=sock_path, poll=0.05, out=out)
-    thread = threading.Thread(target=server.run, daemon=True)
-    thread.start()
-    try:
-        for _ in range(200):
-            if os.path.exists(sock_path):
-                break
-            time.sleep(0.01)
+    with _serving(engine, sock_path):
         for bad in (
             {"op": "edit", "path": 1, "text": "x"},  # used to raise TypeError
             {"op": "edit", "path": "g0left.mini", "text": ["x"]},
@@ -299,10 +408,6 @@ def test_bad_requests_get_error_replies_and_daemon_survives(tmp_path):
         assert not (tmp_path / "escaped.mini").exists()
         assert request(sock_path, {"op": "ping"})["ok"] is True
         assert request(sock_path, {"op": "shutdown"})["ok"] is True
-    finally:
-        thread.join(timeout=10)
-        out.close()
-    assert not thread.is_alive()
     assert os.path.exists(os.path.join(engine.workspace, "g0left.mini"))
 
 
